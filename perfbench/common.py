@@ -1,23 +1,21 @@
-"""Shared pieces of the workloads: the run report, percentiles, memory."""
+"""Shared pieces of the workloads: the run report, percentiles, memory.
+
+Metric names and units are those of ``BENCHMARK.json``; a workload
+records values by name only."""
 
 from __future__ import annotations
 
 import math
+import os
 import resource
 import statistics
 import sys
 
-#: the end-to-end metrics every untraced run reports: name -> unit
-END_TO_END = {
-    "setup_s": "s",
-    "ev_per_s": "ev/s",
-    "p50_ms": "ms",
-    "p99_ms": "ms",
-    "peak_rss_mb": "MB",
-}
-
-#: repetitions of each workload's set-up; ``setup_s`` is their median
+#: repetitions of a workload's set-up; ``setup_s`` is their median.
+#: Set-ups under a fifth of a second are repeated ``SHORT_SETUP_REPEATS``
+#: times instead, so that their median is not one burst of host noise.
 SETUP_REPEATS = 5
+SHORT_SETUP_REPEATS = 9
 
 
 class Report:
@@ -31,15 +29,15 @@ class Report:
 
     def __init__(self, workload: str) -> None:
         self.workload = workload
-        self.metrics: dict[str, tuple[float, str]] = {}
+        self.metrics: dict[str, float] = {}
         self.layers: dict[str, float] = {}
         self.child_summaries: list[dict] = []
         self.attempted = 0
         self.failed = 0
         self.mismatches: list[str] = []
 
-    def metric(self, name: str, value: float, unit: str) -> None:
-        self.metrics[name] = (float(value), unit)
+    def metric(self, name: str, value: float) -> None:
+        self.metrics[name] = float(value)
 
     def ops(self, attempted: int, failed: int = 0) -> None:
         self.attempted += attempted
@@ -65,15 +63,19 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank - 1]
 
 
-def latency_metrics(report: Report, samples_s: list[float], what: str) -> None:
-    """``p50_ms``/``p99_ms`` from per-operation seconds.  A p99 is
-    backed by at least ten samples beyond it only from 1000 samples on;
-    below that the run says so."""
-    ordered = sorted(samples_s)
-    report.metric("p50_ms", percentile(ordered, 0.50) * 1e3, "ms")
-    report.metric("p99_ms", percentile(ordered, 0.99) * 1e3, "ms")
-    beyond = len(ordered) - math.ceil(0.99 * len(ordered))
-    report.note(f"{what}: {len(ordered)} samples, {beyond} beyond p99")
+def latency_metrics(report: Report, samples_s: list[float], what: str,
+                    windows: int = 1) -> None:
+    """``p50_ms``/``p99_ms`` from per-operation seconds, in the order
+    they were taken.  With ``windows`` > 1, each percentile is the
+    median of its values over that many consecutive, equal windows of
+    the samples.  A p99 is backed by at least ten samples beyond it only
+    from 1000 samples (per window) on; below that the run says so."""
+    size = len(samples_s) // windows
+    parts = [sorted(samples_s[i * size:(i + 1) * size]) for i in range(windows)]
+    report.metric("p50_ms", median([percentile(p, 0.50) for p in parts]) * 1e3)
+    report.metric("p99_ms", median([percentile(p, 0.99) for p in parts]) * 1e3)
+    beyond = size - math.ceil(0.99 * size)
+    report.note(f"{what}: {windows} x {size} samples, {beyond} beyond p99 in each")
     if beyond < 10:
         report.note("p99 has fewer than ten samples beyond it")
 
@@ -82,8 +84,42 @@ def median(values: list[float]) -> float:
     return statistics.median(values)
 
 
-def peak_rss_mb(*, children: bool = False) -> float:
-    """High-water resident memory in MB of this process, or of its
-    largest waited-for child process."""
-    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
-    return resource.getrusage(who).ru_maxrss / 1024.0
+_PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def rss_mb() -> float:
+    """Resident memory of this process now, in MB."""
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * _PAGE_MB
+
+
+def private_mb(pid: int) -> float:
+    """Memory only process ``pid`` holds, in MB: its private resident
+    pages.  For a forked worker this leaves out the pages it still
+    shares with its parent (the parent's inputs), and counts what it
+    built or wrote itself."""
+    kb = 0
+    with open(f"/proc/{pid}/smaps_rollup") as rollup:
+        for line in rollup:
+            if line.startswith(("Private_Clean:", "Private_Dirty:")):
+                kb += int(line.split()[1])
+    return kb / 1024
+
+
+class MemoryPeak:
+    """Largest sampled memory above a baseline, in MB.  ``sample`` is
+    called between timed operations, never inside one."""
+
+    def __init__(self, read, baseline: float = 0.0) -> None:
+        self.read = read
+        self.baseline = baseline
+        self.peak = 0.0
+
+    def sample(self) -> None:
+        self.peak = max(self.peak, self.read() - self.baseline)
+
+
+def children_peak_rss_mb() -> float:
+    """High-water resident memory in MB of the largest waited-for child
+    process."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0

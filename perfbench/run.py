@@ -4,12 +4,12 @@ Usage, from the root of a checkout::
 
     python3 perfbench/run.py --workload book-fresh --seed 1 --seconds 10 --trace 0
 
-Workloads: book-fresh, tpch-write, serve-durable, batch-ingest,
-shard-ingest (see perfbench/README.md).  With ``--trace 0`` the run
-reports the end-to-end metrics; with ``--trace 1`` it first runs the
-same workload untraced in a child process (for the tracing overhead),
-then again with every layer wrapped in spans, and reports the
-per-layer metrics.  Metric lines go to standard error; the last line
+The workloads and the metrics, with their units, are those listed in
+``BENCHMARK.json`` (see perfbench/README.md).  With ``--trace 0`` the
+run reports the end-to-end metrics; with ``--trace 1`` it first runs
+the same workload untraced in a child process (for the tracing
+overhead), then again with every layer wrapped in spans, and reports
+the per-layer metrics.  Metric lines go to standard error; the last line
 of standard output is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics``.
 """
@@ -28,11 +28,10 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
+MANIFEST = ROOT / "BENCHMARK.json"
 
 #: hard wall-clock budget of one run; a run still going is a hang
 BUDGET_S = 170
-
-WORKLOADS = ("book-fresh", "tpch-write", "serve-durable", "batch-ingest", "shard-ingest")
 
 QUERIES = ("VWAP", "MST", "PSP", "NQ1", "SQ1", "Q17", "Q18", "EQ")
 
@@ -45,17 +44,17 @@ def _on_alarm(_signum, _frame):
     raise Hang(f"run exceeded its {BUDGET_S}s budget")
 
 
-def _workload(name: str):
+def workloads() -> dict:
     import serve
-    import workloads
+    import workloads as inprocess
 
     return {
-        "book-fresh": workloads.book_fresh,
-        "tpch-write": workloads.tpch_write,
+        "book-fresh": inprocess.book_fresh,
+        "tpch-write": inprocess.tpch_write,
         "serve-durable": serve.serve_durable,
-        "batch-ingest": workloads.batch_ingest,
-        "shard-ingest": workloads.shard_ingest,
-    }[name]
+        "batch-ingest": inprocess.batch_ingest,
+        "shard-ingest": inprocess.shard_ingest,
+    }
 
 
 def _untraced_ev_per_s(args) -> float:
@@ -109,7 +108,7 @@ def layer_metrics(report, summary: dict, untraced: float) -> dict:
     })
     for query in QUERIES:
         out[f"per_query.{query}.ev_per_s"] = report.layers.get(f"per_query.{query}.ev_per_s", 0.0)
-    traced = report.metrics["ev_per_s"][0]
+    traced = report.metrics["ev_per_s"]
     attributed = sum(out[f"{layer}_s"] for layer in LAYERS)
     report.note(f"layer self times {attributed:.6f}s + unattributed "
                 f"{summary['wall'] - summary['covered']:.6f}s = traced wall {summary['wall']:.6f}s")
@@ -125,8 +124,10 @@ def layer_metrics(report, summary: dict, untraced: float) -> dict:
 
 
 def main(argv=None) -> int:
+    manifest = json.loads(MANIFEST.read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in manifest["workloads"]])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(HERE))
 
-    from common import END_TO_END, Report
+    from common import Report
 
     untraced = _untraced_ev_per_s(args) if args.trace else 0.0
     report = Report(args.workload)
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
     signal.alarm(BUDGET_S)
     error = None
     try:
-        _workload(args.workload)(report, args.seed, args.seconds, tracer)
+        workloads()[args.workload](report, args.seed, args.seconds, tracer)
     except Exception as exc:  # noqa: BLE001 - reported as a failed run
         traceback.print_exc()
         error = exc
@@ -166,11 +167,11 @@ def main(argv=None) -> int:
 
         summary = finish(tracer, report, OUT / f"{args.workload}-seed{args.seed}")
         values = layer_metrics(report, summary, untraced)
-        metrics = {name: {"value": value, "unit": _layer_unit(name)}
-                   for name, value in values.items()}
+        listed = manifest["per_layer"]
     else:
-        metrics = {name: {"value": value, "unit": unit}
-                   for name, (value, unit) in report.metrics.items() if name in END_TO_END}
+        values = report.metrics
+        listed = manifest["end_to_end"] if error is None else []
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in listed}
     for name, entry in metrics.items():
         print(f"{args.workload:14s} {name:34s} {entry['value']:.6g} {entry['unit']}",
               file=sys.stderr)
@@ -182,22 +183,6 @@ def main(argv=None) -> int:
         "metrics": metrics,
     }))
     return 0 if error is None else 1
-
-
-def _layer_unit(name: str) -> str:
-    if name.endswith("ev_per_s"):
-        return "ev/s"
-    if name.endswith("_ms"):
-        return "ms"
-    if name.endswith("_s"):
-        return "s"
-    if "bytes" in name:
-        return "B/ev" if name.endswith("per_event") else "B"
-    if name.endswith("per_event"):
-        return "1/ev"
-    if name.endswith("ratio"):
-        return "x"
-    return "count"
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Usage, from the root of a checkout::
 (``statistics.quantiles(values, n=4)``) and the spread, the quartile
 distance as a share of the median, next to the metric's bound; a spread
 above a third of the bound is flagged ``WIDE`` and one above the bound
-``UNSTEADY`` (``setup_s`` is exempt from the spread rule).  ``compare``
+``UNSTEADY``.  ``compare``
 reports every metric whose second median is worse than the first by
 more than its bound, and any workload whose share of failed operations
 differs between the sets.  Both exit 1 when anything is out of bounds.
@@ -71,9 +71,9 @@ def cmd_run(args) -> int:
         for name, bound in bounds.items():
             s = _stats([r["metrics"][name]["value"] for r in runs])
             flag = ""
-            if name != "setup_s" and s["spread"] > bound:
+            if s["spread"] > bound:
                 flag, bad = "UNSTEADY", True
-            elif name != "setup_s" and s["spread"] > bound / 3:
+            elif s["spread"] > bound / 3:
                 flag = "WIDE"
             print(f"  {name:12s} median {s['median']:<12.6g} q1 {s['q1']:<12.6g} "
                   f"q3 {s['q3']:<12.6g} spread {s['spread']:6.3f}  bound {bound}  {flag}")

@@ -19,11 +19,21 @@ calls, timed apart; the benchmark never uses a trigger's return value.
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import pickle
 import time
 
 import streams
-from common import SETUP_REPEATS, Report, latency_metrics, median, peak_rss_mb
+from common import (
+    SETUP_REPEATS,
+    SHORT_SETUP_REPEATS,
+    MemoryPeak,
+    Report,
+    latency_metrics,
+    median,
+    private_mb,
+    rss_mb,
+)
 from oracles import ORACLES, LiveSet, same
 
 from repro.engine import registry
@@ -87,11 +97,17 @@ def freeze_inputs() -> None:
     gc.freeze()
 
 
-def stand_up(lanes: list[Lane], build) -> float:
-    """Build and warm every lane's engine ``SETUP_REPEATS`` times; the
-    last engines are kept.  Returns the median set-up time."""
+def engine_memory() -> MemoryPeak:
+    """This process's memory above what it holds once the inputs are
+    made: the engines' share of ``peak_rss_mb``."""
+    return MemoryPeak(rss_mb, rss_mb())
+
+
+def stand_up(lanes: list[Lane], build, repeats: int = SETUP_REPEATS) -> float:
+    """Build and warm every lane's engine ``repeats`` times; the last
+    engines are kept.  Returns the median set-up time."""
     times = []
-    for _ in range(SETUP_REPEATS):
+    for _ in range(repeats):
         for lane in lanes:
             close = getattr(lane.engine, "close", None)
             if close is not None:
@@ -115,10 +131,11 @@ def rounds_for(seconds: float, per_second: float) -> int:
     return max(1, round(seconds * per_second))
 
 
-def run_rounds(lanes: list[Lane], rounds: int) -> None:
-    """Feed ``rounds`` whole rounds; checkpoints after rounds 1, 4, 16,
-    … and after the last."""
+def run_rounds(lanes: list[Lane], rounds: int, memory: MemoryPeak) -> None:
+    """Feed ``rounds`` whole rounds, sampling ``memory`` after each;
+    checkpoints after rounds 1, 4, 16, … and after the last."""
     next_check = 1
+    memory.sample()
     for done in range(1, rounds + 1):
         for lane in lanes:
             batch = lane.next_slice()
@@ -126,6 +143,7 @@ def run_rounds(lanes: list[Lane], rounds: int) -> None:
                 _feed_chunks(lane, batch)
             else:
                 _feed_events(lane, batch)
+        memory.sample()
         if done == next_check or done == rounds:
             for lane in lanes:
                 lane.checkpoint()
@@ -203,7 +221,7 @@ def summarize(report: Report, lanes: list[Lane], what: str) -> None:
     busy = sum(lane.write_s + lane.read_s for lane in lanes)
     report.ops(len(samples))
     report.layers["events"] = events
-    report.metric("ev_per_s", events / busy, "ev/s")
+    report.metric("ev_per_s", events / busy)
     latency_metrics(report, samples, what)
     for lane in lanes:
         report.layers[f"per_query.{lane.query}.ev_per_s"] = (
@@ -236,8 +254,8 @@ def book_fresh(report: Report, seed: int, seconds: float, tracer=None) -> None:
     events = streams.order_book(seed, BOOK_WARM + rounds * BOOK_ROUND)
     lanes = [Lane(q, events, BOOK_WARM, BOOK_ROUND) for q in ("VWAP", "MST", "PSP", "NQ1")]
     lanes.append(Lane("SQ1", events, SQ1_WARM, SQ1_ROUND))
-    freeze_inputs()
-    _fresh(report, lanes, rounds, tracer, "update (write + read)")
+    # three set-ups of about two seconds each are steady enough
+    _fresh(report, lanes, rounds, tracer, "update (write + read)", repeats=3)
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +281,23 @@ def tpch_write(report: Report, seed: int, seconds: float, tracer=None) -> None:
         Lane("Q18", lines, warm, TPCH_ROUND, READ_EVERY),
         Lane("EQ", r, EQ_WARM, TPCH_ROUND, READ_EVERY),
     ]
-    freeze_inputs()
     _fresh(report, lanes, rounds_for(seconds, TPCH_ROUNDS_PER_S), tracer,
-           f"write (+ read every {READ_EVERY})")
+           f"write (+ read every {READ_EVERY})", repeats=SHORT_SETUP_REPEATS)
 
 
-def _fresh(report: Report, lanes: list[Lane], rounds: int, tracer, what: str) -> None:
+def _fresh(report: Report, lanes: list[Lane], rounds: int, tracer, what: str,
+           repeats: int) -> None:
+    freeze_inputs()
+    memory = engine_memory()
     if tracer:
         tracer.begin()
-    report.metric("setup_s", stand_up(lanes, warm_built), "s")
+    report.metric("setup_s", stand_up(lanes, warm_built, repeats))
     if tracer:
         tracer.mark()
-    run_rounds(lanes, rounds)
+    run_rounds(lanes, rounds, memory)
     if tracer:
         tracer.end()
-    report.metric("peak_rss_mb", peak_rss_mb(), "MB")
+    report.metric("peak_rss_mb", memory.peak)
     report.note(f"{rounds} rounds")
     summarize(report, lanes, what)
     report.layers["state.bytes"] = state_bytes(lane.engine for lane in lanes)
@@ -289,25 +309,22 @@ def _fresh(report: Report, lanes: list[Lane], rounds: int, tracer, what: str) ->
 # at every chunk boundary
 # ---------------------------------------------------------------------------
 
-#: events per ``on_batch`` chunk, per query.  In-process (K=1) the sizes
-#: make one chunk take about as long on each query, so every lane gives
-#: about as many latency samples and the percentiles do not sit on the
-#: boundary between two lanes; through the shard workers (K=2) a chunk's
-#: time is mostly the round trip, and one size does the same.
-K1_CHUNK = {"VWAP": 64, "Q18": 256, "EQ": 768}
-K2_CHUNK = {"VWAP": 256, "Q18": 256, "EQ": 256}
-CHUNKS_PER_ROUND = 8
+#: events per ``on_batch`` chunk, per query, K=1 and K=2 alike: the two
+#: workloads run the same job, so their ``ev_per_s`` compare.  In-process
+#: a chunk then takes about as long on each query, so the percentiles do
+#: not sit on the boundary between two lanes' latencies.
+CHUNK = {"VWAP": 64, "Q18": 256, "EQ": 768}
+#: events per round, the same for every lane
+BATCH_ROUND = 3_072
 BATCH_WARM = 8_192
-#: rounds per second of run length, per lane: each lane takes about a
-#: third of the run today
-K1_ROUNDS_PER_S = {"VWAP": 26, "Q18": 24, "EQ": 26}
-K2_ROUNDS_PER_S = {"VWAP": 5.5, "Q18": 13, "EQ": 19}
+#: rounds per second of run length; the lanes run one after another
+K1_ROUNDS_PER_S = 10
+K2_ROUNDS_PER_S = 4.8
 
 
-def _batch_lanes(seed: int, chunks: dict[str, int]) -> list[Lane]:
+def _batch_lanes(seed: int) -> list[Lane]:
     def lane(query: str, events: list) -> Lane:
-        chunk = chunks[query]
-        return Lane(query, events, BATCH_WARM, chunk * CHUNKS_PER_ROUND, chunk=chunk)
+        return Lane(query, events, BATCH_WARM, BATCH_ROUND, chunk=CHUNK[query])
 
     return [
         lane("VWAP", streams.bids(seed, 60_000)),
@@ -319,18 +336,20 @@ def _batch_lanes(seed: int, chunks: dict[str, int]) -> list[Lane]:
 def batch_ingest(report: Report, seed: int, seconds: float, tracer=None) -> None:
     """K=1: one in-process engine per query (the single-threaded
     baseline of shard-ingest's job)."""
-    lanes = _batch_lanes(seed, K1_CHUNK)
+    lanes = _batch_lanes(seed)
     freeze_inputs()
+    memory = engine_memory()
     if tracer:
         tracer.begin()
-    report.metric("setup_s", stand_up(lanes, warm_built), "s")
+    report.metric("setup_s", stand_up(lanes, warm_built, SHORT_SETUP_REPEATS))
     if tracer:
         tracer.mark()
+    rounds = rounds_for(seconds, K1_ROUNDS_PER_S)
     for lane in lanes:
-        run_rounds([lane], rounds_for(seconds, K1_ROUNDS_PER_S[lane.query]))
+        run_rounds([lane], rounds, memory)
     if tracer:
         tracer.end()
-    report.metric("peak_rss_mb", peak_rss_mb(), "MB")
+    report.metric("peak_rss_mb", memory.peak)
     summarize(report, lanes, "chunk (on_batch + read)")
     report.layers["state.bytes"] = state_bytes(lane.engine for lane in lanes)
     verify(report, lanes)
@@ -350,18 +369,29 @@ def _sharded(lane: Lane):
     return engine
 
 
+def _workers_memory() -> MemoryPeak:
+    """The live shard workers' own memory, summed (their engine state);
+    one executor is alive at a time, so its workers are this process's
+    only multiprocessing children."""
+    pids = [process.pid for process in multiprocessing.active_children()]
+    return MemoryPeak(lambda: sum(private_mb(pid) for pid in pids))
+
+
 def shard_ingest(report: Report, seed: int, seconds: float, tracer=None) -> None:
     """K=2: the same job through the multiprocess sharded executor,
     one executor (two workers) alive at a time."""
-    lanes = _batch_lanes(seed, K2_CHUNK)
+    lanes = _batch_lanes(seed)
     freeze_inputs()
-    setup = 0.0
+    setup = peak = 0.0
+    rounds = rounds_for(seconds, K2_ROUNDS_PER_S)
     if tracer:
         tracer.begin()
     try:
         for lane in lanes:
             setup += stand_up([lane], _sharded)
-            run_rounds([lane], rounds_for(seconds, K2_ROUNDS_PER_S[lane.query]))
+            memory = _workers_memory()
+            run_rounds([lane], rounds, memory)
+            peak = max(peak, memory.peak)
             lane.engine.close()
             lane.engine = None
     finally:
@@ -371,8 +401,8 @@ def shard_ingest(report: Report, seed: int, seconds: float, tracer=None) -> None
                 close()
     if tracer:
         tracer.end()
-    report.metric("setup_s", setup, "s")
-    report.metric("peak_rss_mb", max(peak_rss_mb(), peak_rss_mb(children=True)), "MB")
+    report.metric("setup_s", setup)
+    report.metric("peak_rss_mb", peak)
     summarize(report, lanes, "chunk (on_batch + read)")
     report.layers["state.bytes"] = 0.0
     verify(report, lanes)
