@@ -12,10 +12,23 @@ import statistics
 import sys
 
 #: repetitions of a workload's set-up; ``setup_s`` is their median.
+#: Untraced, about half are made before the measured rounds and the
+#: rest after them (see ``split_repeats``), so the median samples the
+#: host at both ends of the run rather than during one short burst.
 #: Set-ups under a fifth of a second are repeated ``SHORT_SETUP_REPEATS``
 #: times instead, so that their median is not one burst of host noise.
 SETUP_REPEATS = 5
 SHORT_SETUP_REPEATS = 9
+#: least samples in one window of the latency percentiles
+WINDOW_SAMPLES = 1_000
+
+
+def split_repeats(repeats: int, traced: bool) -> tuple[int, int]:
+    """Set-ups to make before and after the measured rounds.  A traced
+    run makes them all before, inside its traced window."""
+    if traced:
+        return repeats, 0
+    return (repeats + 1) // 2, repeats // 2
 
 
 class Report:
@@ -63,21 +76,40 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank - 1]
 
 
-def latency_metrics(report: Report, samples_s: list[float], what: str,
-                    windows: int = 1) -> None:
-    """``p50_ms``/``p99_ms`` from per-operation seconds, in the order
-    they were taken.  With ``windows`` > 1, each percentile is the
-    median of its values over that many consecutive, equal windows of
-    the samples.  A p99 is backed by at least ten samples beyond it only
-    from 1000 samples (per window) on; below that the run says so."""
-    size = len(samples_s) // windows
-    parts = [sorted(samples_s[i * size:(i + 1) * size]) for i in range(windows)]
+def windows(count: int, cuts=None, least: int = WINDOW_SAMPLES) -> list[tuple[int, int]]:
+    """Consecutive ``(start, end)`` slices of ``count`` samples, each of
+    at least ``least`` samples and each ending at one of ``cuts`` (the
+    sample counts at round boundaries; any sample when ``None``).  A
+    remainder too small for a window of its own joins the last one; with
+    fewer than ``least`` samples in all, there is one window."""
+    out: list[tuple[int, int]] = []
+    start = 0
+    for cut in range(1, count + 1) if cuts is None else cuts:
+        if cut - start >= least:
+            out.append((start, cut))
+            start = cut
+    if not out:
+        return [(0, count)]
+    if start < count:
+        out[-1] = (out[-1][0], count)
+    return out
+
+
+def latency_metrics(report: Report, samples_s: list[float], what: str, cuts=None) -> None:
+    """``p50_ms`` from per-operation seconds, in the order they were
+    taken: the median of its values over consecutive windows of at least
+    ``WINDOW_SAMPLES`` samples (see ``windows``), so one burst of load
+    from elsewhere on the host sets at most a few windows' values, not
+    the run's.  The p99, taken the same way, is printed with its sample
+    counts but is not a metric: see perfbench/README.md."""
+    parts = [sorted(samples_s[a:b]) for a, b in windows(len(samples_s), cuts)]
     report.metric("p50_ms", median([percentile(p, 0.50) for p in parts]) * 1e3)
-    report.metric("p99_ms", median([percentile(p, 0.99) for p in parts]) * 1e3)
-    beyond = size - math.ceil(0.99 * size)
-    report.note(f"{what}: {windows} x {size} samples, {beyond} beyond p99 in each")
-    if beyond < 10:
-        report.note("p99 has fewer than ten samples beyond it")
+    p99_ms = median([percentile(p, 0.99) for p in parts]) * 1e3
+    smallest = min(len(p) for p in parts)
+    beyond = smallest - math.ceil(0.99 * smallest)
+    report.note(f"{what}: {len(samples_s)} samples in {len(parts)} windows of "
+                f"{smallest} or more; p99 {p99_ms:.6g} ms, {beyond} or more "
+                "samples beyond it in each window")
 
 
 def median(values: list[float]) -> float:
@@ -117,6 +149,20 @@ class MemoryPeak:
 
     def sample(self) -> None:
         self.peak = max(self.peak, self.read() - self.baseline)
+
+
+def stop_resource_tracker() -> None:
+    """Stop multiprocessing's resource tracker and wait for it to end.
+
+    The first shared-memory segment a process makes (the shard rings)
+    starts a tracker process that otherwise ends only after this one
+    has exited, orphaned, and outlives the run.  Stopping it is safe
+    once every segment is closed: it unlinks any that were left."""
+    from multiprocessing import resource_tracker
+
+    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop is not None:
+        stop()
 
 
 def children_peak_rss_mb() -> float:

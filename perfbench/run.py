@@ -140,7 +140,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(HERE))
 
-    from common import Report
+    from common import Report, stop_resource_tracker
 
     untraced = _untraced_ev_per_s(args) if args.trace else 0.0
     report = Report(args.workload)
@@ -161,6 +161,7 @@ def main(argv=None) -> int:
         report.ops(1, 1)
     finally:
         signal.alarm(0)
+        stop_resource_tracker()
 
     if tracer is not None and error is None:
         from tracing import finish

@@ -8,12 +8,15 @@ ingests and subscribes, B only subscribes, both to VWAP, PSP and Q18.
 * **Open loop**: batches are *due* at a fixed offered rate whatever the
   server does; a sample is the time from when a batch was due until its
   ``INGEST_ACK`` reaches A, which on A's connection follows every delta
-  the batch caused (``p50_ms``/``p99_ms``: the median of each
-  percentile over consecutive windows of at least ``FRESH_WINDOW``
+  the batch caused (``p50_ms``, and the p99 printed beside it: the
+  median of each percentile over consecutive windows of at least 1000
   samples).
 * **Saturating**: a fixed number of batches, at most ``WINDOW`` in
   flight; events acknowledged per second (``ev_per_s``, the median over
   windows of ``RATE_WINDOW`` batches).
+
+The two phases alternate ``CYCLES`` times, so that both are measured
+across the whole run rather than each in one stretch of it.
 
 Every subscriber's folded view is compared with the oracle after each
 phase, and the final DRAIN snapshots after SIGTERM as well.  The server
@@ -62,12 +65,6 @@ BATCH = 4
 #: a second, under half of what the server acknowledges when saturated,
 #: so about five checkpoints a second
 OFFERED = 1_250
-#: the open loop's percentiles are the medians of their values over
-#: consecutive windows of it, each of ``FRESH_WINDOW`` samples or more
-#: (so at least ten beyond the p99): every server checkpoint stalls the
-#: tenant worker, so the p99 sits on those stalls, and one stall made
-#: long by anything else on the host would otherwise set it for the run
-FRESH_WINDOW = 1_000
 #: ingest batches in flight in the saturating phase
 WINDOW = 4
 #: acknowledged batches per throughput window of the saturating phase
@@ -80,6 +77,8 @@ PRELOAD = 40_000
 PRELOAD_BATCH = 256
 #: share of the run spent in the open-loop phase
 OPEN_SHARE = 0.85
+#: open-loop and saturating phases alternate this many times
+CYCLES = 4
 #: events per second of run length sent in the saturating phase (about
 #: what the server sustains today, so the phase takes about its share)
 SATURATING_EV_PER_S = 3_000
@@ -229,12 +228,12 @@ async def _saturate(ingest: TimedClient, batches: list) -> list[float]:
     return [ingest.acked_at[seq] for seq in seqs]
 
 
-def _window_rate(acked: list[float]) -> float:
-    """Median events per second over consecutive windows of
-    ``RATE_WINDOW`` acknowledged batches."""
-    rates = [RATE_WINDOW * BATCH / (acked[i + RATE_WINDOW] - acked[i])
-             for i in range(0, len(acked) - RATE_WINDOW, RATE_WINDOW)]
-    return median(rates)
+def _window_rates(acked: list[float]) -> list[float]:
+    """Events per second over consecutive windows of ``RATE_WINDOW``
+    acknowledged batches (one shorter window in a very short run)."""
+    size = min(RATE_WINDOW, len(acked) - 1)
+    return [size * BATCH / (acked[i + size] - acked[i])
+            for i in range(0, len(acked) - size, size)]
 
 
 async def _session(report: Report, server: Server, batches: list, events: list,
@@ -273,40 +272,50 @@ async def _measure(report, ingest, watch, batches, events, seconds, server) -> N
     report.note(f"preload of {PRELOAD} events: {clock() - t0:.2f}s")
 
     open_count, saturating = _phase_batches(seconds)
-    due_of, late = await _open_loop(ingest, batches, 0, open_count)
-    await _settle(ingest, watch)
-    fresh = [ingest.acked_at[seq] - due for seq, due in due_of.items()]
-    report.ops(open_count)
-    live.advance(events, PRELOAD + open_count * BATCH)
-    _check_views(report, live, {"A": ingest.results, "B": watch.results}, "open-loop")
+    fresh: list[float] = []
+    late: list[float] = []
+    rates: list[float] = []
+    sent = 0
+    for cycle in range(CYCLES):
+        due_of, lateness = await _open_loop(ingest, batches, sent, open_count)
+        await _settle(ingest, watch)
+        fresh += [ingest.acked_at[seq] - due for seq, due in due_of.items()]
+        late += lateness
+        sent += open_count
+        report.ops(open_count)
+        live.advance(events, PRELOAD + sent * BATCH)
+        _check_views(report, live, {"A": ingest.results, "B": watch.results},
+                     f"open-loop{cycle}")
 
-    acked = await _saturate(ingest, batches[open_count:open_count + saturating])
-    await _settle(ingest, watch)
-    report.ops(saturating)
-    live.advance(events, PRELOAD + (open_count + saturating) * BATCH)
-    _check_views(report, live, {"A": ingest.results, "B": watch.results}, "saturating")
+        acked = await _saturate(ingest, batches[sent:sent + saturating])
+        await _settle(ingest, watch)
+        rates += _window_rates(acked)
+        sent += saturating
+        report.ops(saturating)
+        live.advance(events, PRELOAD + sent * BATCH)
+        _check_views(report, live, {"A": ingest.results, "B": watch.results},
+                     f"saturating{cycle}")
 
     await server.stop()
     report.check("drain", server.clean, "server did not drain and exit cleanly")
     _check_views(report, live, {"A": ingest.drained, "B": watch.drained}, "drain")
 
-    report.metric("ev_per_s", _window_rate(acked))
-    latency_metrics(report, fresh, f"freshness at {OFFERED} ev/s offered",
-                    max(1, len(fresh) // FRESH_WINDOW))
+    report.metric("ev_per_s", median(rates))
+    latency_metrics(report, fresh, f"freshness at {OFFERED} ev/s offered")
     report.layers["gen.late_p99_ms"] = percentile(sorted(late), 0.99) * 1e3
-    report.note(f"open loop: {open_count} batches of {BATCH}; saturating: {saturating} "
-                f"batches in {acked[-1] - acked[0]:.3f}s")
+    report.note(f"{CYCLES} cycles of open loop: {open_count} batches of {BATCH}, "
+                f"then saturating: {saturating} batches")
 
 
 def _phase_batches(seconds: float) -> tuple[int, int]:
-    """Batches of the open-loop and the saturating phase."""
-    open_loop = math.ceil(seconds * OPEN_SHARE * OFFERED / BATCH)
-    saturating = math.ceil(seconds * (1 - OPEN_SHARE) * SATURATING_EV_PER_S / BATCH)
+    """Batches of one open-loop and one saturating phase."""
+    open_loop = math.ceil(seconds * OPEN_SHARE * OFFERED / BATCH / CYCLES)
+    saturating = math.ceil(seconds * (1 - OPEN_SHARE) * SATURATING_EV_PER_S / BATCH / CYCLES)
     return open_loop, saturating
 
 
 def serve_durable(report: Report, seed: int, seconds: float, tracer=None) -> None:
-    events = streams.serving_mix(seed, PRELOAD + sum(_phase_batches(seconds)) * BATCH)
+    events = streams.serving_mix(seed, PRELOAD + CYCLES * sum(_phase_batches(seconds)) * BATCH)
     batches = [events[i:i + BATCH] for i in range(PRELOAD, len(events), BATCH)]
     freeze_inputs()
     setups: list[float] = []

@@ -14,6 +14,9 @@ oracles are computed from.
 
 Writes (``on_event``/``on_batch``) and reads (``result()``) are separate
 calls, timed apart; the benchmark never uses a trigger's return value.
+The lanes of a workload share one ``Timeline``: every timed sample in
+the order it was taken, with the round boundaries, from which the
+percentiles' windows are cut.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from common import (
     median,
     private_mb,
     rss_mb,
+    split_repeats,
 )
 from oracles import ORACLES, LiveSet, same
 
@@ -42,11 +46,23 @@ from repro.storage.stream import Stream
 clock = time.perf_counter
 
 
+class Timeline:
+    """The timed samples of a workload's lanes, in the order they were
+    taken, and the sample count at the end of every round."""
+
+    def __init__(self) -> None:
+        self.samples: list[float] = []
+        self.cuts: list[int] = []
+
+    def cut(self) -> None:
+        self.cuts.append(len(self.samples))
+
+
 class Lane:
     """One query's engine and its walk over a stream."""
 
     def __init__(self, query: str, events: list, warm: int, per_round: int,
-                 read_every: int = 1, chunk: int = 0) -> None:
+                 timeline: Timeline, read_every: int = 1, chunk: int = 0) -> None:
         self.query = query
         self.events = events
         self.warm = warm
@@ -60,7 +76,8 @@ class Lane:
         self.pos = warm
         self.forward = True
         self.engine = None
-        self.samples: list[float] = []
+        self.timeline = timeline
+        self.samples = timeline.samples
         self.events_done = 0
         self.write_s = 0.0
         self.read_s = 0.0
@@ -103,22 +120,26 @@ def engine_memory() -> MemoryPeak:
     return MemoryPeak(rss_mb, rss_mb())
 
 
-def stand_up(lanes: list[Lane], build, repeats: int = SETUP_REPEATS) -> float:
+def stand_up(lanes: list[Lane], build, repeats: int) -> list[float]:
     """Build and warm every lane's engine ``repeats`` times; the last
-    engines are kept.  Returns the median set-up time."""
+    engines are kept.  Returns the set-up times."""
     times = []
     for _ in range(repeats):
-        for lane in lanes:
-            close = getattr(lane.engine, "close", None)
-            if close is not None:
-                close()
-            lane.engine = None
+        close_all(lanes)
         gc.collect()
         t0 = clock()
         for lane in lanes:
             lane.engine = build(lane)
         times.append(clock() - t0)
-    return median(times)
+    return times
+
+
+def close_all(lanes: list[Lane]) -> None:
+    for lane in lanes:
+        close = getattr(lane.engine, "close", None)
+        if close is not None:
+            close()
+        lane.engine = None
 
 
 def warm_built(lane: Lane):
@@ -132,8 +153,9 @@ def rounds_for(seconds: float, per_second: float) -> int:
 
 
 def run_rounds(lanes: list[Lane], rounds: int, memory: MemoryPeak) -> None:
-    """Feed ``rounds`` whole rounds, sampling ``memory`` after each;
-    checkpoints after rounds 1, 4, 16, … and after the last."""
+    """Feed ``rounds`` whole rounds, sampling ``memory`` and cutting the
+    timeline after each; checkpoints after rounds 1, 4, 16, … and after
+    the last."""
     next_check = 1
     memory.sample()
     for done in range(1, rounds + 1):
@@ -143,6 +165,7 @@ def run_rounds(lanes: list[Lane], rounds: int, memory: MemoryPeak) -> None:
                 _feed_chunks(lane, batch)
             else:
                 _feed_events(lane, batch)
+        lanes[0].timeline.cut()
         memory.sample()
         if done == next_check or done == rounds:
             for lane in lanes:
@@ -216,13 +239,13 @@ def verify(report: Report, lanes: list[Lane]) -> None:
 
 
 def summarize(report: Report, lanes: list[Lane], what: str) -> None:
-    samples = [s for lane in lanes for s in lane.samples]
+    timeline = lanes[0].timeline
     events = sum(lane.events_done for lane in lanes)
     busy = sum(lane.write_s + lane.read_s for lane in lanes)
-    report.ops(len(samples))
+    report.ops(len(timeline.samples))
     report.layers["events"] = events
     report.metric("ev_per_s", events / busy)
-    latency_metrics(report, samples, what)
+    latency_metrics(report, timeline.samples, what, timeline.cuts)
     for lane in lanes:
         report.layers[f"per_query.{lane.query}.ev_per_s"] = (
             lane.events_done / (lane.write_s + lane.read_s)
@@ -252,8 +275,10 @@ BOOK_ROUNDS_PER_S = 18
 def book_fresh(report: Report, seed: int, seconds: float, tracer=None) -> None:
     rounds = rounds_for(seconds, BOOK_ROUNDS_PER_S)
     events = streams.order_book(seed, BOOK_WARM + rounds * BOOK_ROUND)
-    lanes = [Lane(q, events, BOOK_WARM, BOOK_ROUND) for q in ("VWAP", "MST", "PSP", "NQ1")]
-    lanes.append(Lane("SQ1", events, SQ1_WARM, SQ1_ROUND))
+    timeline = Timeline()
+    lanes = [Lane(q, events, BOOK_WARM, BOOK_ROUND, timeline)
+             for q in ("VWAP", "MST", "PSP", "NQ1")]
+    lanes.append(Lane("SQ1", events, SQ1_WARM, SQ1_ROUND, timeline))
     # three set-ups of about two seconds each are steady enough
     _fresh(report, lanes, rounds, tracer, "update (write + read)", repeats=3)
 
@@ -276,10 +301,11 @@ def tpch_write(report: Report, seed: int, seconds: float, tracer=None) -> None:
     reference = sum(1 for e in lines if e.relation != "lineitem")
     r = streams.r_stream(seed + 1, EQ_EVENTS)
     warm = reference + TPCH_WARM_LINEITEMS
+    timeline = Timeline()
     lanes = [
-        Lane("Q17", lines, warm, TPCH_ROUND, READ_EVERY),
-        Lane("Q18", lines, warm, TPCH_ROUND, READ_EVERY),
-        Lane("EQ", r, EQ_WARM, TPCH_ROUND, READ_EVERY),
+        Lane("Q17", lines, warm, TPCH_ROUND, timeline, READ_EVERY),
+        Lane("Q18", lines, warm, TPCH_ROUND, timeline, READ_EVERY),
+        Lane("EQ", r, EQ_WARM, TPCH_ROUND, timeline, READ_EVERY),
     ]
     _fresh(report, lanes, rounds_for(seconds, TPCH_ROUNDS_PER_S), tracer,
            f"write (+ read every {READ_EVERY})", repeats=SHORT_SETUP_REPEATS)
@@ -289,9 +315,10 @@ def _fresh(report: Report, lanes: list[Lane], rounds: int, tracer, what: str,
            repeats: int) -> None:
     freeze_inputs()
     memory = engine_memory()
+    before, after = split_repeats(repeats, tracer is not None)
     if tracer:
         tracer.begin()
-    report.metric("setup_s", stand_up(lanes, warm_built, repeats))
+    setups = stand_up(lanes, warm_built, before)
     if tracer:
         tracer.mark()
     run_rounds(lanes, rounds, memory)
@@ -301,6 +328,8 @@ def _fresh(report: Report, lanes: list[Lane], rounds: int, tracer, what: str,
     report.note(f"{rounds} rounds")
     summarize(report, lanes, what)
     report.layers["state.bytes"] = state_bytes(lane.engine for lane in lanes)
+    setups += stand_up(lanes, warm_built, after)
+    report.metric("setup_s", median(setups))
     verify(report, lanes)
 
 
@@ -323,8 +352,10 @@ K2_ROUNDS_PER_S = 4.8
 
 
 def _batch_lanes(seed: int) -> list[Lane]:
+    timeline = Timeline()
+
     def lane(query: str, events: list) -> Lane:
-        return Lane(query, events, BATCH_WARM, BATCH_ROUND, chunk=CHUNK[query])
+        return Lane(query, events, BATCH_WARM, BATCH_ROUND, timeline, chunk=CHUNK[query])
 
     return [
         lane("VWAP", streams.bids(seed, 60_000)),
@@ -339,9 +370,10 @@ def batch_ingest(report: Report, seed: int, seconds: float, tracer=None) -> None
     lanes = _batch_lanes(seed)
     freeze_inputs()
     memory = engine_memory()
+    before, after = split_repeats(SHORT_SETUP_REPEATS, tracer is not None)
     if tracer:
         tracer.begin()
-    report.metric("setup_s", stand_up(lanes, warm_built, SHORT_SETUP_REPEATS))
+    setups = stand_up(lanes, warm_built, before)
     if tracer:
         tracer.mark()
     rounds = rounds_for(seconds, K1_ROUNDS_PER_S)
@@ -352,6 +384,8 @@ def batch_ingest(report: Report, seed: int, seconds: float, tracer=None) -> None
     report.metric("peak_rss_mb", memory.peak)
     summarize(report, lanes, "chunk (on_batch + read)")
     report.layers["state.bytes"] = state_bytes(lane.engine for lane in lanes)
+    setups += stand_up(lanes, warm_built, after)
+    report.metric("setup_s", median(setups))
     verify(report, lanes)
 
 
@@ -384,21 +418,20 @@ def shard_ingest(report: Report, seed: int, seconds: float, tracer=None) -> None
     freeze_inputs()
     setup = peak = 0.0
     rounds = rounds_for(seconds, K2_ROUNDS_PER_S)
+    before, after = split_repeats(SETUP_REPEATS, tracer is not None)
     if tracer:
         tracer.begin()
     try:
         for lane in lanes:
-            setup += stand_up([lane], _sharded)
+            setups = stand_up([lane], _sharded, before)
             memory = _workers_memory()
             run_rounds([lane], rounds, memory)
             peak = max(peak, memory.peak)
-            lane.engine.close()
-            lane.engine = None
+            setups += stand_up([lane], _sharded, after)
+            setup += median(setups)
+            close_all([lane])
     finally:
-        for lane in lanes:
-            close = getattr(lane.engine, "close", None)
-            if close is not None:
-                close()
+        close_all(lanes)
     if tracer:
         tracer.end()
     report.metric("setup_s", setup)
